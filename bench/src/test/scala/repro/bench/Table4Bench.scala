@@ -32,7 +32,7 @@ class Table4Bench extends AnyFunSuite {
   test("Table 4: templates at varying saturation thresholds (adaptability)") {
     val lines = corpus(4000)
     val cfg = ByteBrainConfig()
-    val (model, matched) = ByteBrain.parseLocal(lines, cfg)
+    val (model, matched) = ByteBrain.parseLocalRaw(lines, cfg)
 
     println("=== Table 4: templates by saturation threshold (Android-like lock logs) ===")
     val thresholds = Seq(0.05, 0.78, 0.9, 0.95)

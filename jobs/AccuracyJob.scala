@@ -20,7 +20,7 @@ object AccuracyJob {
       val ds =
         if (args.length > 1 && args(1) == "loghub") Datasets.loghub(args(0))
         else Datasets.loghub2(args(0))
-      val threshold = if (args.length > 2) args(2).toDouble else 0.5
+      val threshold = if (args.length > 2) args(2).toDouble else 0.9
       val cfg = ByteBrainConfig()
 
       val df = ds.toDF(spark).cache()

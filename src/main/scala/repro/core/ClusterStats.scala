@@ -42,10 +42,6 @@ final class ClusterStats(val numPositions: Int) {
 
   /** True when all logs share one token at position `i`. */
   def isConstant(i: Int): Boolean = counts(i).size <= 1
-
-  /** Indices of non-constant positions. */
-  def unresolvedPositions: Array[Int] =
-    (0 until numPositions).iterator.filter(i => !isConstant(i)).toArray
 }
 
 object ClusterStats {

@@ -20,7 +20,7 @@ object HierarchicalClustering {
     // canonical order: Spark's groupByKey yields logs in partition order, the
     // local path in insertion order — sorting makes the seeded clustering
     // identical in both (distributed == local training, pinned by tests)
-    val logs = unordered.sortBy(l => (l.tokens.mkString(""), l.firstId))
+    val logs = unordered.sortBy(_.tokens.mkString(""))
     val m = groupKey.numTokens
     val rng = new Random(cfg.seed ^ groupKey.hashCode().toLong)
     val out = mutable.ArrayBuffer.empty[TemplateNode]

@@ -5,9 +5,9 @@ package repro.core
   * Similarity of log L to cluster C averages, over positions, the frequency of
   * L's token at that position within C, weighted by position importance
   * w_i = 1/(n_i − 1): positions with many distinct tokens are likely variables
-  * and get low weight, constant positions dominate. We convert to a distance
-  * as 1 − similarity so "smallest distance" = "highest positional similarity",
-  * matching the paper's assignment rule.
+  * and get low weight, constant positions dominate. The paper's distance is
+  * 1 − similarity, so its "smallest distance" assignment rule is "highest
+  * positional similarity" here.
   *
   * Constant positions (n_i = 1) would give w_i = ∞; they receive one large
   * uniform weight so agreement on constants dominates, and a cluster of a
@@ -32,39 +32,6 @@ object PositionalDistance {
         else if (ni <= 1) ConstantWeight
         else 1.0 / (ni - 1).toDouble
       num += w * stats.freqAt(i, hashes(i))
-      den += w
-      i += 1
-    }
-    if (den == 0.0) 0.0 else num / den
-  }
-
-  /** Distance d(L, C) = 1 − similarity (smaller = more similar). */
-  def distance(hashes: Array[Long], stats: ClusterStats, cfg: ByteBrainConfig): Double =
-    1.0 - similarity(hashes, stats, cfg)
-
-  /** Leave-one-out similarity of a log to its *own* cluster: the log's
-    * contribution is removed from the statistics first. Without this, a
-    * single-log cluster is absorbing — every position is constant, so the
-    * member's self-similarity is exactly 1 and it can never be reassigned,
-    * stranding expansion seeds as junk singleton templates.
-    */
-  def similarityExcluding(log: UniqueLog, stats: ClusterStats, cfg: ByteBrainConfig): Double = {
-    val m = stats.numPositions
-    val remaining = stats.totalCount - log.count
-    if (remaining <= 0) return 0.0
-    var num = 0.0
-    var den = 0.0
-    var i = 0
-    while (i < m) {
-      val h = log.hashes(i)
-      val cnt = stats.countAt(i, h)
-      // the log is the position's only carrier of this token → one fewer value
-      val ni = if (cnt == log.count) stats.distinctAt(i) - 1 else stats.distinctAt(i)
-      val w =
-        if (!cfg.positionImportance) 1.0
-        else if (ni <= 1) ConstantWeight
-        else 1.0 / (ni - 1).toDouble
-      num += w * ((cnt - log.count).toDouble / remaining)
       den += w
       i += 1
     }

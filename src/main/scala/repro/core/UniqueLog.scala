@@ -6,13 +6,12 @@ package repro.core
   *               constant positions can be rendered back into template text
   * @param hashes 64-bit hash encoding of `tokens` (same length)
   * @param count  number of raw records collapsed into this unique log
-  * @param firstId smallest original record id, for deterministic tie-breaks
   */
-final case class UniqueLog(tokens: Array[String], hashes: Array[Long], count: Long, firstId: Long) {
+final case class UniqueLog(tokens: Array[String], hashes: Array[Long], count: Long) {
   def numTokens: Int = tokens.length
 }
 
 object UniqueLog {
-  def apply(tokens: Array[String], count: Long = 1L, firstId: Long = 0L): UniqueLog =
-    UniqueLog(tokens, HashEncoder.encode(tokens), count, firstId)
+  def apply(tokens: Array[String], count: Long = 1L): UniqueLog =
+    UniqueLog(tokens, HashEncoder.encode(tokens), count)
 }

@@ -29,13 +29,9 @@ class ByteBrainLocalSpec extends AnyFunSuite {
 
   test("parseLocal groups a clean 3-template corpus perfectly at threshold 0.9") {
     val (lines, truth) = corpus(600)
-    val (_, matched) = ByteBrain.parseLocal(lines, cfg)
-    val model = ByteBrain.trainLocal(lines, cfg)
+    val (model, matched) = ByteBrain.parseLocalRaw(lines, cfg)
     val resolved = matched.map(id => Query.resolve(model, id, 0.9).id).toIndexedSeq
-    val _ = resolved // grouping computed on the same model instance below
-    val (m2, matched2) = ByteBrain.parseLocal(lines, cfg)
-    val res2 = matched2.map(id => Query.resolve(m2, id, 0.9).id).toIndexedSeq
-    assert(GroupingAccuracy.compute(res2, truth) == 1.0)
+    assert(GroupingAccuracy.compute(resolved, truth) == 1.0)
   }
 
   test("every log matches some template after training on itself") {
@@ -66,7 +62,7 @@ class ByteBrainLocalSpec extends AnyFunSuite {
   test("dedup=false ablation still parses correctly on a clean corpus") {
     val (lines, truth) = corpus(300)
     val c = cfg.copy(dedup = false)
-    val (m, matched) = ByteBrain.parseLocal(lines, c)
+    val (m, matched) = ByteBrain.parseLocalRaw(lines, c)
     val resolved = matched.map(id => Query.resolve(m, id, 0.9).id).toIndexedSeq
     assert(GroupingAccuracy.compute(resolved, truth) >= 0.95)
   }

@@ -36,11 +36,6 @@ class ClusterStatsSpec extends AnyFunSuite {
     assert(s.freqAt(0, HashEncoder.hash64("zzz")) == 0.0)
   }
 
-  test("unresolvedPositions lists non-constant positions") {
-    val s = ClusterStats.of(Seq(log(1, "a", "x", "q"), log(1, "a", "y", "q")), 3)
-    assert(s.unresolvedPositions.toSeq == Seq(1))
-  }
-
   test("empty stats") {
     val s = new ClusterStats(3)
     assert(s.totalCount == 0)

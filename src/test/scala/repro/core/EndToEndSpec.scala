@@ -44,7 +44,7 @@ class EndToEndSpec extends AnyFunSuite {
 
   test("query threshold sweep: template count grows with the threshold (Fig 11 shape)") {
     val ds = Datasets.loghub("Zookeeper")
-    val (model, matched) = ByteBrain.parseLocal(ds.lines, cfg)
+    val (model, matched) = ByteBrain.parseLocalRaw(ds.lines, cfg)
     val counts = Seq(0.05, 0.5, 0.9, 1.0).map { th =>
       matched.map(id => Query.resolve(model, id, th).id).distinct.length
     }
@@ -54,7 +54,7 @@ class EndToEndSpec extends AnyFunSuite {
 
   test("GA is stable across mid-range thresholds (Fig 11 shape)") {
     val ds = Datasets.loghub("HDFS")
-    val (model, matched) = ByteBrain.parseLocal(ds.lines, cfg)
+    val (model, matched) = ByteBrain.parseLocalRaw(ds.lines, cfg)
     val gas = Seq(0.85, 0.9, 0.95).map { th =>
       val resolved = matched.map(id => Query.resolve(model, id, th).id).toIndexedSeq
       GroupingAccuracy.compute(resolved, ds.truth)

@@ -42,9 +42,34 @@ class TrainerSparkSpec extends SparkSpec {
   test("Spark training equals local training (same templates, counts, tree)") {
     val distributed = Trainer.train(spark, logsDf, cfg)
     val local = ByteBrain.trainLocal(ds.lines, cfg)
-    def canon(m: TemplateModel) =
-      m.nodes.map(n => (n.groupKey, n.templateText, n.depth, n.count, n.saturation)).toSet
-    assert(canon(distributed) == canon(local))
+    assert(distributed.byId == local.byId)
+    val perLine = cfg.copy(dedup = false)
+    assert(Trainer.train(spark, logsDf, perLine).byId == ByteBrain.trainLocal(ds.lines, perLine).byId)
+  }
+
+  test("above the sampling cap Spark, trainLocal and parseLocalRaw train the same model (§3)") {
+    val c = cfg.copy(sampleMaxLogs = 500)
+    val distributed = Trainer.train(spark, logsDf, c)
+    val local = ByteBrain.trainLocal(ds.lines, c)
+    assert(local.nodes.filter(_.isRoot).map(_.count).sum < ds.numLogs, "the cap must be active")
+    assert(distributed.byId == local.byId)
+    assert(ByteBrain.parseLocalRaw(ds.lines, c)._1.byId == local.byId)
+  }
+
+  test("empty, whitespace-only and null messages do not change the model trained at the cap") {
+    val c = cfg.copy(sampleMaxLogs = 500)
+    val blank = Vector.fill(5000)("") ++ Vector.fill(500)("  \t ") ++ Vector.fill(500)(null: String)
+    val noisy = ds.lines ++ blank
+    val expected = ByteBrain.trainLocal(ds.lines, c)
+    assert(ByteBrain.trainLocal(noisy, c).byId == expected.byId)
+    val noisyDf = noisy.toDF("message")
+    assert(Trainer.train(spark, noisyDf, c).byId == expected.byId)
+
+    // blank lines match nothing: id -1 on both drivers
+    val (_, ids) = ByteBrain.parseLocalRaw(noisy, c)
+    assert(ids.drop(ds.numLogs).forall(_ == -1))
+    val blankDf = blank.toDF("message")
+    assert(ByteBrain.matchDf(spark, expected, blankDf, c).where($"template_id" =!= -1).count() == 0)
   }
 
   test("matchDf matches every trained log to a template") {
